@@ -12,6 +12,10 @@
 //!   stage on the owned-pair path. This is the headline number.
 //! * `compress` / `decompress` — codec throughput over run bytes
 //!   (informational; the partition stage itself does not compress).
+//! * `compress_incompressible` — the spill-frame encoder on sorted TeraGen
+//!   runs cut into 80 KiB frames (TeraSort's frame size), with the
+//!   keep-under-7/8 limit spill frames use: what an incompressible frame
+//!   costs before it is stored raw (informational).
 //! * `external`    — the out-of-core path: a budgeted `IntermediateStore`
 //!   fed a dataset ≥ 4× its memory budget (spill + compaction + streamed
 //!   cursor merge) vs the same runs merged fully in-core. Also records
@@ -37,6 +41,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use gw_apps::workloads::teragen;
 use gw_bench::baseline::{heap_merge, naive_run_from_pairs};
 use gw_bench::flatjson::{self, Val};
 use gw_core::hash::default_partition;
@@ -44,6 +49,9 @@ use gw_intermediate::{
     compress, merge_runs, CursorMerge, IntermediateConfig, IntermediateStore, Run, RunBuilder,
     RunPool,
 };
+
+/// Frame size of the `terasort` workload's spills (a 5 MiB budget / 64).
+const TERASORT_FRAME: usize = 80 << 10;
 
 /// Words drawn from a Zipf-ish rank distribution — the WordCount map
 /// output profile (a few hot words, a long cold tail).
@@ -116,6 +124,8 @@ struct Sizes {
     /// Memory budget for the external merge; the dataset is sized ≥ 4×
     /// this, so the run cannot complete in-core.
     external_budget: usize,
+    /// TeraGen records behind the incompressible codec row.
+    teragen_records: usize,
 }
 
 // Quick sizes are chosen to keep the smoke run under ~10 s while staying
@@ -128,6 +138,7 @@ const QUICK: Sizes = Sizes {
     partition_records: 120_000,
     external_records: 120_000,
     external_budget: 256 << 10,
+    teragen_records: 20_000,
 };
 
 const FULL: Sizes = Sizes {
@@ -137,6 +148,7 @@ const FULL: Sizes = Sizes {
     partition_records: 600_000,
     external_records: 600_000,
     external_budget: 1 << 20,
+    teragen_records: 80_000,
 };
 
 const PARTS: u32 = 16;
@@ -196,6 +208,7 @@ struct Metrics {
     merge8_new: f64,
     merge8_heap: f64,
     compress_mbps: f64,
+    compress_incompressible_mbps: f64,
     decompress_mbps: f64,
     partition_new: f64,
     partition_naive: f64,
@@ -277,6 +290,20 @@ fn measure(sizes: &Sizes) -> Metrics {
     let comp = best_secs(sizes.iters, || compress::compress(&codec_run));
     let decomp = best_secs(sizes.iters, || compress::decompress(&packed).unwrap());
     let mbps = |bytes: usize, secs: f64| bytes as f64 / secs / 1e6;
+
+    // --- the spill-frame encoder on incompressible TeraGen frames ---
+    let tera = teragen(sizes.teragen_records, 7);
+    let tera_run = naive_run_from_pairs(tera).into_shared();
+    let mut encoder = compress::Encoder::new();
+    let mut encoded = Vec::new();
+    let mut encode_frames = || {
+        tera_run
+            .chunks(TERASORT_FRAME)
+            .filter(|f| encoder.encode(f, compress::keep_limit(f.len()), &mut encoded))
+            .count()
+    };
+    assert_eq!(encode_frames(), 0, "a TeraGen frame compressed under 7/8");
+    let tera_comp = best_secs(sizes.iters, encode_frames);
 
     // --- partition: end-to-end WC partition stage ---
     let part_input = word_stream(sizes.partition_records);
@@ -379,6 +406,7 @@ fn measure(sizes: &Sizes) -> Metrics {
         merge8_new: mrecs(merged_records, tree_merge),
         merge8_heap: mrecs(merged_records, heap_merge_s),
         compress_mbps: mbps(codec_run.len(), comp),
+        compress_incompressible_mbps: mbps(tera_run.len(), tera_comp),
         decompress_mbps: mbps(codec_run.len(), decomp),
         partition_new: mbps(input_bytes, arena_part),
         partition_naive: mbps(input_bytes, naive_part),
@@ -418,6 +446,10 @@ fn main() {
         ("merge8_heap_mrecs", Val::Num(m.merge8_heap)),
         ("merge8_speedup", Val::Num(m.merge8_speedup())),
         ("compress_mbps", Val::Num(m.compress_mbps)),
+        (
+            "compress_incompressible_mbps",
+            Val::Num(m.compress_incompressible_mbps),
+        ),
         ("decompress_mbps", Val::Num(m.decompress_mbps)),
         ("partition_new_mbps", Val::Num(m.partition_new)),
         ("partition_naive_mbps", Val::Num(m.partition_naive)),

@@ -582,6 +582,40 @@ impl FaultPlan {
             .is_some_and(|c| c.site != CrashSite::Reduce)
     }
 
+    /// Map chunks each node must be handed for the plan's passage-counted
+    /// triggers (a crash or stall at a map-side site) to be reachable, as
+    /// `(node, chunks)` pairs. A stage-wide trigger needs `after + 1`
+    /// chunks; a trigger pinned to lane `l` needs `after × lanes + l + 1`,
+    /// because chunks are dealt round-robin over a stage's lanes.
+    /// `max_lanes` is the widest stage's lane count (an upper bound for
+    /// every site). Splits are claimed dynamically, so without this floor
+    /// a victim could run out of work before its trigger, and whether a
+    /// seeded fault fires would depend on the schedule.
+    pub fn trigger_chunks(&self, max_lanes: u32) -> Vec<(u32, u32)> {
+        let needed = |after: u32, lane: Option<u32>| match lane {
+            None => after + 1,
+            Some(l) => after * max_lanes.max(1) + l + 1,
+        };
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        let crash = self
+            .crash
+            .as_ref()
+            .filter(|c| c.site != CrashSite::Reduce)
+            .map(|c| (c.node, needed(c.after, c.lane)));
+        let stall = self
+            .stall
+            .as_ref()
+            .filter(|s| s.site != CrashSite::Reduce)
+            .map(|s| (s.node, needed(s.after, s.lane)));
+        for (node, chunks) in crash.into_iter().chain(stall) {
+            match out.iter_mut().find(|(n, _)| *n == node) {
+                Some((_, c)) => *c = (*c).max(chunks),
+                None => out.push((node, chunks)),
+            }
+        }
+        out
+    }
+
     /// Deterministic human-readable schedule, for reproducibility checks:
     /// equal seeds (and node counts) must yield equal descriptions.
     pub fn describe(&self) -> String {
@@ -1035,6 +1069,30 @@ mod tests {
         );
         // Other nodes run at full speed.
         assert_eq!(p.gray_delay(0, CrashSite::Kernel, wall), None);
+    }
+
+    #[test]
+    fn trigger_chunks_cover_every_counted_passage() {
+        assert!(FaultPlan::empty().trigger_chunks(1).is_empty());
+        assert!(FaultPlan::crash(1, CrashSite::Reduce, 2)
+            .trigger_chunks(1)
+            .is_empty());
+        assert_eq!(
+            FaultPlan::crash(1, CrashSite::Kernel, 2).trigger_chunks(4),
+            vec![(1, 3)]
+        );
+        // Lane 1 of a 2-lane stage sees chunks 1, 3, 5, …: its third
+        // passage is chunk 5, the sixth chunk.
+        let pinned = FaultPlan::crash(0, CrashSite::Kernel, 2).with_crash_lane(1);
+        assert_eq!(pinned.trigger_chunks(2), vec![(0, 6)]);
+        // A crash and a stall on one node need the larger of the two.
+        let both = FaultPlan::crash(3, CrashSite::Read, 0).with_stall(3, CrashSite::Stage, 4, 10);
+        assert_eq!(both.trigger_chunks(1), vec![(3, 5)]);
+        // Every seeded plan's triggers are a function of the seed alone.
+        for seed in 0..32 {
+            let a = FaultPlan::from_seed(seed, 4).trigger_chunks(1);
+            assert_eq!(a, FaultPlan::from_seed(seed, 4).trigger_chunks(1));
+        }
     }
 
     #[test]

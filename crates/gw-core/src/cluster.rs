@@ -286,6 +286,15 @@ impl Cluster {
             );
             coordinator.enable_speculation(cfg.speculation.clone());
         }
+        if let Some(plan) = &fault_plan {
+            let lanes = &cfg.lane_plan;
+            let max_lanes = lanes.input.max(lanes.kernel).max(lanes.partition) as u32;
+            for (node, chunks) in plan.trigger_chunks(max_lanes) {
+                if node < nodes {
+                    coordinator.reserve_claims(NodeId(node), chunks);
+                }
+            }
+        }
         let coordinator = Arc::new(coordinator);
 
         // Arm the chaos hooks on the storage and network planes for the

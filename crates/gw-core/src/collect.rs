@@ -83,9 +83,15 @@ unsafe impl Send for RawBuf {}
 unsafe impl Sync for RawBuf {}
 
 impl RawBuf {
+    /// Left uninitialised: readers only see `[0, valid_end)`, which the
+    /// writers filled. Zero-filling would touch every page of the arena
+    /// up front — a reduce partition allocates `B` arenas of
+    /// `collector_capacity` bytes (16 MiB by default), and faulting them in
+    /// cost ~10 ms per partition even when a few KiB were written.
     fn new(cap: usize) -> Self {
-        let mut vec = vec![0u8; cap];
+        let mut vec = Vec::<u8>::with_capacity(cap);
         let ptr = vec.as_mut_ptr();
+        let cap = vec.capacity();
         std::mem::forget(vec);
         RawBuf { ptr, cap }
     }
@@ -93,8 +99,8 @@ impl RawBuf {
 
 impl Drop for RawBuf {
     fn drop(&mut self) {
-        // SAFETY: reconstitutes the Vec forgotten in `new`.
-        unsafe { drop(Vec::from_raw_parts(self.ptr, self.cap, self.cap)) };
+        // SAFETY: reconstitutes the empty Vec forgotten in `new`.
+        unsafe { drop(Vec::from_raw_parts(self.ptr, 0, self.cap)) };
     }
 }
 

@@ -28,7 +28,7 @@
 //! `None`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -351,6 +351,10 @@ pub struct Coordinator {
     total: usize,
     supervision: Option<Supervision>,
     speculation: Option<Speculation>,
+    /// Claims still owed to nodes whose fault-plan triggers count chunk
+    /// passages ([`Coordinator::reserve_claims`]); empty when unarmed.
+    /// Decremented under the `slots` lock.
+    reserved: Vec<(u32, AtomicU32)>,
     has_overrides: AtomicBool,
     aborted: AtomicBool,
     nodes_lost: AtomicUsize,
@@ -376,6 +380,7 @@ impl Coordinator {
             total,
             supervision: None,
             speculation: None,
+            reserved: Vec::new(),
             has_overrides: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             nodes_lost: AtomicUsize::new(0),
@@ -414,6 +419,19 @@ impl Coordinator {
     /// Whether supervision is armed.
     pub fn supervised(&self) -> bool {
         self.supervision.is_some()
+    }
+
+    /// Hold back `claims` splits for `node` (supervised jobs only): while
+    /// it is alive and still mapping, other nodes are refused a pending
+    /// split whenever taking it would leave fewer pending splits than the
+    /// claims still owed to such nodes. A fault plan's crash or stall on
+    /// `node`'s Nth chunk then fires in every schedule instead of only in
+    /// those where `node` happened to win N claims
+    /// ([`FaultPlan::trigger_chunks`]).
+    pub fn reserve_claims(&mut self, node: NodeId, claims: u32) {
+        if self.supervision.is_some() && claims > 0 {
+            self.reserved.push((node.0, AtomicU32::new(claims)));
+        }
     }
 
     /// Arm the speculation controller (no-op when `cfg.enabled` is false).
@@ -463,9 +481,15 @@ impl Coordinator {
     /// handed a clone of a straggling claim (see
     /// [`Coordinator::enable_speculation`]).
     pub fn next_for(&self, node: NodeId) -> Option<InputSplit> {
+        // Gathered before the slots lock (lock order: `live` before
+        // `slots`); a stale count only withholds a split a little longer.
+        let owed_elsewhere = self.claims_owed_elsewhere(node);
         {
             let mut slots = self.slots.lock();
             let pending = |s: &Slot| s.state == SlotState::Pending;
+            if owed_elsewhere > 0 && slots.iter().filter(|s| pending(s)).count() <= owed_elsewhere {
+                return None;
+            }
             let idx = slots
                 .iter()
                 .position(|s| pending(s) && s.split.is_local_to(node))
@@ -474,6 +498,10 @@ impl Coordinator {
                 slots[idx].state = SlotState::Claimed(node.0);
                 slots[idx].claimed_at = Some(Instant::now());
                 slots[idx].spec = None;
+                if let Some((_, owed)) = self.reserved.iter().find(|(n, _)| *n == node.0) {
+                    let _ = owed
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |o| o.checked_sub(1));
+                }
                 return Some(slots[idx].split.clone());
             }
             self.speculation.as_ref()?;
@@ -483,6 +511,23 @@ impl Coordinator {
         let dead = self.dead_nodes();
         let mut slots = self.slots.lock();
         self.speculate_locked(&mut slots, node, &dead)
+    }
+
+    /// Claims still owed ([`Coordinator::reserve_claims`]) to nodes other
+    /// than `node` that are alive and still mapping.
+    fn claims_owed_elsewhere(&self, node: NodeId) -> usize {
+        if self.reserved.is_empty() {
+            return 0;
+        }
+        let Some(sup) = &self.supervision else {
+            return 0;
+        };
+        let live = sup.live.lock();
+        self.reserved
+            .iter()
+            .filter(|(n, _)| *n != node.0 && live.mapping.contains(n) && !live.dead.contains(n))
+            .map(|(_, owed)| owed.load(Ordering::Relaxed) as usize)
+            .sum()
     }
 
     /// Pick the oldest outstanding claim that crossed the straggler
@@ -605,6 +650,15 @@ impl Coordinator {
         self.slots.lock().iter().any(|s| {
             s.split.block == block && matches!(s.state, SlotState::Complete(x) if x != node.0)
         })
+    }
+
+    /// Speculation races resolved so far (clones that won or were
+    /// cancelled), or `None` when speculation is off. An in-flight attempt
+    /// polls this cheap epoch and asks [`Coordinator::is_superseded`] only
+    /// when it moved.
+    pub fn races_resolved(&self) -> Option<usize> {
+        let spec = self.speculation.as_ref()?;
+        Some(spec.won.load(Ordering::Relaxed) + spec.cancelled.load(Ordering::Relaxed))
     }
 
     /// Final speculation accounting for the job report.
@@ -960,6 +1014,35 @@ mod tests {
     }
 
     #[test]
+    fn reserved_claims_are_held_for_their_node_until_it_leaves() {
+        let mut c = supervised(3, 3, (0..6).map(|i| split(i, vec![0])).collect());
+        c.reserve_claims(NodeId(2), 2);
+        // Nodes 0 and 1 drain the queue down to the two owed splits.
+        for n in [0, 1, 0, 1] {
+            assert!(c.next_for(NodeId(n)).is_some());
+        }
+        assert!(
+            c.next_for(NodeId(0)).is_none(),
+            "two splits are owed to node 2"
+        );
+        assert!(c.next_for(NodeId(1)).is_none());
+        // Node 2 takes one; one claim is still owed, one split pending.
+        assert!(c.next_for(NodeId(2)).is_some());
+        assert!(c.next_for(NodeId(0)).is_none());
+        // Once node 2 leaves its map loop it owes nothing.
+        c.exit_map(NodeId(2));
+        assert!(c.next_for(NodeId(0)).is_some());
+        assert_eq!(c.remaining(), 0);
+    }
+
+    #[test]
+    fn unsupervised_coordinators_ignore_reservations() {
+        let mut c = Coordinator::new(vec![split(0, vec![0])]);
+        c.reserve_claims(NodeId(1), 1);
+        assert!(c.next_for(NodeId(0)).is_some());
+    }
+
+    #[test]
     fn dead_node_work_is_requeued_onto_survivors() {
         let c = supervised(
             2,
@@ -1150,7 +1233,9 @@ mod tests {
     fn primary_finishing_first_cancels_the_clone() {
         let (c, straggling) = straggler_setup(4);
         let _clone = c.next_for(NodeId(0)).unwrap();
+        assert_eq!(c.races_resolved(), Some(0));
         c.complete_split(NodeId(1), straggling);
+        assert_eq!(c.races_resolved(), Some(1), "a cancel moves the epoch");
         // The clone's late completion is a stale no-op.
         c.complete_split(NodeId(0), straggling);
         let r = c.speculation_report();
@@ -1165,7 +1250,9 @@ mod tests {
     fn clone_finishing_first_wins_the_race() {
         let (c, straggling) = straggler_setup(4);
         let _clone = c.next_for(NodeId(0)).unwrap();
+        assert_eq!(c.races_resolved(), Some(0));
         c.complete_split(NodeId(0), straggling);
+        assert_eq!(c.races_resolved(), Some(1), "a win moves the epoch");
         // The straggling primary's late completion is a stale no-op.
         c.complete_split(NodeId(1), straggling);
         let r = c.speculation_report();

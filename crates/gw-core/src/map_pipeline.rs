@@ -43,7 +43,7 @@
 //! which is what makes receiver-side de-duplication sound (see
 //! `gw_intermediate::radix` for the determinism contract).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -274,6 +274,38 @@ impl Stage<MapChunk, EngineError> for MapStageH2D {
     }
 }
 
+/// Kill switch of one in-flight map attempt: fires once another attempt
+/// completed the same split, so the launch stops at its next record
+/// instead of finishing work the run ledger would discard.
+struct Superseded {
+    coordinator: Arc<Coordinator>,
+    node: NodeId,
+    block: usize,
+    /// Race epoch ([`Coordinator::races_resolved`]) at the last check.
+    seen: AtomicUsize,
+    fired: AtomicBool,
+}
+
+impl Superseded {
+    /// Cheap between races: one relaxed load of the epoch, and a locked
+    /// [`Coordinator::is_superseded`] only after a race resolved.
+    fn fired(&self) -> bool {
+        if self.fired.load(Ordering::Relaxed) {
+            return true;
+        }
+        let epoch = self.coordinator.races_resolved().unwrap_or(0);
+        if self.seen.load(Ordering::Relaxed) == epoch {
+            return false;
+        }
+        self.seen.store(epoch, Ordering::Relaxed);
+        let fired = self.coordinator.is_superseded(self.node, self.block);
+        if fired {
+            self.fired.store(true, Ordering::Relaxed);
+        }
+        fired
+    }
+}
+
 /// Kernel stage: launch the user's map function over the chunk's records
 /// into a pooled collector, with §III-E task re-execution. Recycles the
 /// chunk's staging buffer once the launch is done with it.
@@ -300,6 +332,17 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
             ctx.stop(); // pool closed: the partition stage died
             return Ok(None);
         };
+        // Taken before the skip check, so a race that resolves between
+        // the check and the launch still fires the switch.
+        let kill = self.coordinator.races_resolved().map(|epoch| {
+            Arc::new(Superseded {
+                coordinator: Arc::clone(&self.coordinator),
+                node: self.node,
+                block: chunk.block_idx,
+                seen: AtomicUsize::new(epoch),
+                fired: AtomicBool::new(false),
+            })
+        });
         if self.coordinator.is_superseded(self.node, chunk.block_idx) {
             // Another attempt already completed this split (it was queued
             // here when a speculation race resolved): skip the launch. The
@@ -313,6 +356,14 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
             chunk.collector = Some(collector);
             return Ok(Some(chunk));
         }
+        // Should a clone complete this split while the launch below runs,
+        // this attempt has lost the race and is killed: the kernel stops at
+        // its next record, and so does an injected slowdown of the passage.
+        if let Some(kill) = &kill {
+            let kill = Arc::clone(kill);
+            ctx.abandon_when(move || kill.fired());
+        }
+        let kill = kill.as_deref();
         let n_records = chunk.records.len();
         let bytes: &[u8] = match &chunk.buffer {
             Some(buf) => buf.bytes(),
@@ -335,6 +386,9 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
                     let emit = Emit::new(emit_target);
                     let (lo, hi) = wctx.my_items(n_records);
                     for r in &records[lo..hi] {
+                        if kill.is_some_and(Superseded::fired) {
+                            break;
+                        }
                         let key = &bytes[r.koff as usize..(r.koff + r.klen) as usize];
                         let value = &bytes[r.voff as usize..(r.voff + r.vlen) as usize];
                         app.map(key, value, &emit);
@@ -364,6 +418,12 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
             TimingMode::Modeled => stats.modeled,
         };
         ctx.add_time(stats.wall, modeled);
+        if kill.is_some_and(Superseded::fired) {
+            // Killed (or finished just as its clone won): drop the partial
+            // output, exactly as if the launch had been skipped above.
+            self.lane.count(CounterId::SpecSuperseded, 1);
+            collector.reset();
+        }
         // Kernel is done with the input buffer: recycle it.
         if let (Some(buf), Some(put)) = (chunk.buffer.take(), &self.buffers_back) {
             put.put(buf);

@@ -67,8 +67,10 @@ pub struct IntermediateConfig {
     /// Background merger/flusher threads (the paper sets this equal to `P`
     /// in its Fig. 4 experiments).
     pub merger_threads: usize,
-    /// Whether spills are stored compressed (the paper always compresses;
-    /// disabling is useful for ablation).
+    /// Whether spill frames may be stored compressed (the paper always
+    /// compresses; disabling is useful for ablation). Even when set, a
+    /// frame whose encoding would not come in under 7/8 of its raw size
+    /// is stored raw (see [`crate::frame`]).
     pub compress: bool,
     /// Target raw bytes per spill frame: the unit of incremental decode,
     /// and the granule the external merges hold in memory per source.
@@ -474,12 +476,15 @@ impl IntermediateStore {
             .fetch_add(run.records(), Ordering::Relaxed);
         let bytes = run.len_bytes();
         self.inner.gauge.charge(bytes);
-        {
+        let total = {
             let mut st = self.inner.parts[p as usize].lock();
             st.cache_bytes += bytes;
             st.cache.push(run);
-        }
-        let total = self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+            // Counted under the partition lock: a flush, which subtracts
+            // under the same lock, must never see these bytes before the
+            // global count does, or the count would wrap below zero.
+            self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes
+        };
         if total > self.inner.cfg.cache_threshold {
             self.flush_all();
         }
@@ -689,6 +694,7 @@ impl Drop for IntermediateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress;
     use crate::frame::SpillOp;
     use crate::kv::run_from_pairs;
     use crate::merge::{GroupedMerge, MergeIter};
@@ -920,6 +926,50 @@ mod tests {
         assert!(
             store.metrics().peak_resident_bytes <= budget + budget / 2,
             "streaming reduce input must stay within the budget too"
+        );
+    }
+
+    #[test]
+    fn incompressible_spills_are_stored_raw_within_the_budget() {
+        let budget = 64 << 10;
+        let mut c = cfg(1).with_memory_budget(budget);
+        c.merger_threads = 1;
+        let store = IntermediateStore::new(c).unwrap();
+        // ≥4× the budget of TeraGen-style records (random 10-byte keys,
+        // random 90-byte values), in runs of 20 records.
+        let mut runs = Vec::new();
+        while runs.iter().map(Run::len_bytes).sum::<usize>() < 4 * budget {
+            let seed = runs.len() as u64 * 20;
+            let recs: Vec<(Vec<u8>, Vec<u8>)> = (1..=20)
+                .map(|i| {
+                    let bytes = compress::random_bytes(100, seed + i);
+                    (bytes[..10].to_vec(), bytes[10..].to_vec())
+                })
+                .collect();
+            let run = run_from_pairs(recs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
+            store.add_run(0, run.clone());
+            runs.push(run);
+        }
+        store.finish_map().unwrap();
+        let expect: Vec<(Vec<u8>, Vec<u8>)> = MergeIter::new(runs.iter())
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        assert_eq!(stream_partition(&store, 0), expect);
+        let paths = store.spill_paths(0);
+        assert!(!paths.is_empty());
+        for path in &paths {
+            let idx = frame::read_index(&mut std::fs::File::open(path).unwrap()).unwrap();
+            assert!(idx.compressed);
+            assert!(idx.entries.iter().all(|e| e.stored_len == e.raw_len));
+        }
+        let m = store.metrics();
+        let footers = m.frames_written * frame::ENTRY_LEN + m.flushes * frame::TRAILER_LEN;
+        assert!(m.spilled_disk > m.spilled_raw, "{m:?}");
+        assert!(m.spilled_disk - m.spilled_raw <= footers, "{m:?}");
+        assert!(
+            m.peak_resident_bytes <= budget + budget / 2,
+            "peak {} exceeds 1.5× budget {budget} ({m:?})",
+            m.peak_resident_bytes
         );
     }
 

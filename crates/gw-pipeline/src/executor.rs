@@ -68,7 +68,12 @@ pub struct StageCtx<'p> {
     probe: Option<&'p dyn PipelineProbe>,
     timing: Option<(Duration, Duration)>,
     stopped: bool,
+    abandoned: Option<Box<dyn Fn() -> bool + 'p>>,
 }
+
+/// Longest single sleep while an injected gray delay waits out a chunk
+/// that may be abandoned mid-delay.
+const GRAY_SLICE: Duration = Duration::from_millis(1);
 
 impl<'p> StageCtx<'p> {
     fn new(stage: StageId, seq: usize, lane: u32, probe: Option<&'p dyn PipelineProbe>) -> Self {
@@ -79,6 +84,7 @@ impl<'p> StageCtx<'p> {
             probe,
             timing: None,
             stopped: false,
+            abandoned: None,
         }
     }
 
@@ -136,6 +142,33 @@ impl<'p> StageCtx<'p> {
     /// fault of the chaos plane); `false` without a probe.
     pub fn task_fault_fires(&self) -> bool {
         self.probe.is_some_and(|p| p.task_fault_fires())
+    }
+
+    /// Declare that this passage is killed once `check` returns `true`
+    /// (say, a speculative clone of its split completed). The stage stops
+    /// its own work there (the map kernel polls the same check between
+    /// records) and drops what it made; an injected gray delay, which
+    /// stands for the slowed remainder of the passage, ends there too.
+    /// The chunk still flows on.
+    pub fn abandon_when(&mut self, check: impl Fn() -> bool + 'p) {
+        self.abandoned = Some(Box::new(check));
+    }
+
+    /// Sleep out an injected gray delay, ending early once the chunk is
+    /// abandoned ([`StageCtx::abandon_when`]). Returns the time slept.
+    fn gray_sleep(&self, extra: Duration) -> Duration {
+        let Some(abandoned) = &self.abandoned else {
+            std::thread::sleep(extra);
+            return extra;
+        };
+        let start = Instant::now();
+        loop {
+            let slept = start.elapsed();
+            if slept >= extra || abandoned() {
+                return slept;
+            }
+            std::thread::sleep((extra - slept).min(GRAY_SLICE));
+        }
     }
 
     fn take_timing(&mut self) -> Option<(Duration, Duration)> {
@@ -1022,8 +1055,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             if let Some(extra) =
                                 probe.and_then(|p| p.gray_delay_on(source_id, lane, wall))
                             {
-                                std::thread::sleep(extra);
-                                wall += extra;
+                                wall += ctx.gray_sleep(extra);
                             }
                             // Probed after production: an injected Read
                             // crash dies holding the fresh claim (the
@@ -1197,8 +1229,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                 if let Some(extra) =
                                     probe.and_then(|p| p.gray_delay_on(id, lane, wall))
                                 {
-                                    std::thread::sleep(extra);
-                                    wall += extra;
+                                    wall += ctx.gray_sleep(extra);
                                 }
                                 if ctx.stopped {
                                     events.chunk_abort(seq);
@@ -1576,6 +1607,58 @@ mod tests {
         let err = run_task_with_retries(1, &mut state, |_| -> usize { panic!("always") }, |_| {})
             .expect_err("budget exhausted");
         assert_eq!(err.attempts, 2);
+    }
+
+    #[test]
+    fn abandoned_chunks_stop_paying_their_gray_delay() {
+        // Every Kernel passage is slowed by 300 ms; all chunks but chunk 0
+        // declare themselves abandoned, so only chunk 0 waits it out.
+        const DELAY: Duration = Duration::from_millis(300);
+        struct SlowKernel;
+        impl PipelineProbe for SlowKernel {
+            fn should_abort(&self, _stage: StageId) -> bool {
+                false
+            }
+            fn crash_fires(&self, _stage: StageId) -> bool {
+                false
+            }
+            fn kill(&self) {}
+            fn gray_delay(&self, stage: StageId, _wall: Duration) -> Option<Duration> {
+                (stage == StageId::Kernel).then_some(DELAY)
+            }
+        }
+        struct AbandonAllButFirst;
+        impl Stage<usize, String> for AbandonAllButFirst {
+            fn run_chunk(
+                &mut self,
+                c: usize,
+                ctx: &mut StageCtx<'_>,
+            ) -> Result<Option<usize>, String> {
+                ctx.abandon_when(move || c > 0);
+                Ok(Some(c))
+            }
+        }
+        let sum = AtomicUsize::new(0);
+        let start = Instant::now();
+        PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
+            .source(
+                StageId::Input,
+                Counter {
+                    next: 0,
+                    n: 6,
+                    closed: Arc::new(AtomicBool::new(false)),
+                },
+            )
+            .stage(StageId::Kernel, AbandonAllButFirst)
+            .stage(StageId::Partition, SinkSum(&sum))
+            .probe(SlowKernel)
+            .run()
+            .expect("slow run completes");
+        // Abandoned chunks still flow downstream.
+        assert_eq!(sum.load(Ordering::SeqCst), (0..6).sum::<usize>());
+        let took = start.elapsed();
+        assert!(took >= DELAY, "chunk 0 skipped its delay: {took:?}");
+        assert!(took < 2 * DELAY, "abandoned chunks waited: {took:?}");
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! disabled planes must leave zero trace, and first-finisher-wins de-dup
 //! must be idempotent under arbitrary attempt-arrival orders.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use glasswing::core::{Combiner, CounterId, LogicalKind, MarkId, Realm};
@@ -16,6 +19,7 @@ use glasswing::intermediate::kv::run_from_pairs;
 use glasswing::intermediate::{IntermediateConfig, IntermediateStore};
 use glasswing::net::{Fabric, RunTag, ShuffleMsg, ShuffleReceiver};
 use glasswing::prelude::*;
+use glasswing::storage::seqfile::SeqReader;
 use proptest::prelude::*;
 
 const NODES: u32 = 4;
@@ -165,6 +169,122 @@ fn speculation_beats_the_straggler_with_identical_bytes() {
         last = Some((off_elapsed, on_elapsed, s));
     }
     panic!("speculation never beat the straggler: {last:?}");
+}
+
+/// Wordcount whose first attempt to start mapping is slow for real: every
+/// record of its split that it maps sleeps 30 ms (2 ms anywhere else). No
+/// delay is injected, so only the engine killing a superseded launch can
+/// stop the straggler before it maps its whole split.
+struct SlowFirstAttempt {
+    inner: WordCount,
+    block_of: HashMap<Vec<u8>, usize>,
+    straggler: OnceLock<(ThreadId, usize)>,
+    slow_maps: AtomicUsize,
+}
+
+impl GwApp for SlowFirstAttempt {
+    fn name(&self) -> &'static str {
+        "slow-first-attempt"
+    }
+    fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>) {
+        // One work item per launch, so one thread maps a whole attempt.
+        let me = (std::thread::current().id(), self.block_of[key]);
+        if *self.straggler.get_or_init(|| me) == me {
+            self.slow_maps.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(30));
+        } else {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        self.inner.map(key, value, emit)
+    }
+    fn combiner(&self) -> Option<Arc<dyn Combiner>> {
+        self.inner.combiner()
+    }
+    fn has_reduce(&self) -> bool {
+        self.inner.has_reduce()
+    }
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[&[u8]],
+        state: &mut Vec<u8>,
+        last: bool,
+        emit: &Emit<'_>,
+    ) {
+        self.inner.reduce(key, values, state, last, emit)
+    }
+    fn partition(&self, key: &[u8], num_partitions: u32) -> u32 {
+        self.inner.partition(key, num_partitions)
+    }
+    fn merge_states(&self, acc: &mut Vec<u8>, other: &[u8]) -> bool {
+        self.inner.merge_states(acc, other)
+    }
+}
+
+#[test]
+fn a_superseded_launch_is_killed_mid_split() {
+    // 128 records in splits of ~16: a healthy split maps in ~32 ms, the
+    // straggler's in ~0.5 s.
+    let cluster = || {
+        let keys: Vec<String> = (0..128).map(|i| format!("k{i:03}")).collect();
+        let dfs = Arc::new(Dfs::new(DfsConfig::new(NODES).free_io()));
+        dfs.write_records(
+            "/spec/in",
+            NodeId(0),
+            320,
+            3,
+            keys.iter()
+                .map(|k| (k.as_bytes(), b"straggler kill".as_slice())),
+        )
+        .unwrap();
+        Cluster::new(dfs, NetProfile::unlimited())
+    };
+    let reference = {
+        let cluster = cluster();
+        let report = cluster
+            .run(Arc::new(WordCount::new()), &spec_cfg(false))
+            .unwrap();
+        read_job_output(cluster.store(), &report).unwrap()
+    };
+
+    let cluster = cluster();
+    let mut block_of = HashMap::new();
+    let mut per_block = Vec::new();
+    let store = cluster.store();
+    for (b, split) in store.splits("/spec/in").unwrap().iter().enumerate() {
+        let (bytes, _) = store.read_split(split, NodeId(0)).unwrap();
+        let mut reader = SeqReader::open_raw(&bytes);
+        let mut n = 0;
+        while let Some((k, _)) = reader.next().unwrap() {
+            block_of.insert(k.to_vec(), b);
+            n += 1;
+        }
+        per_block.push(n);
+    }
+    assert!(per_block.len() >= 6, "too few splits: {per_block:?}");
+    let app = Arc::new(SlowFirstAttempt {
+        inner: WordCount::new(),
+        block_of,
+        straggler: OnceLock::new(),
+        slow_maps: AtomicUsize::new(0),
+    });
+    let mut cfg = spec_cfg(true);
+    cfg.map_work_items = 1;
+    let report = cluster.run(app.clone(), &cfg).unwrap();
+    assert_eq!(
+        read_job_output(cluster.store(), &report).unwrap(),
+        reference
+    );
+    let s = report.speculation;
+    assert!(s.balanced(), "speculation ledger must balance: {s:?}");
+    assert!(s.won >= 1, "no clone beat the straggler: {s:?}");
+    let (_, slow_block) = *app.straggler.get().unwrap();
+    let slow_maps = app.slow_maps.load(Ordering::Relaxed);
+    assert!(
+        slow_maps < per_block[slow_block],
+        "the straggler mapped {slow_maps} of its {} records: its launch outlived its clone's win",
+        per_block[slow_block]
+    );
 }
 
 #[test]
