@@ -15,8 +15,7 @@
 use std::sync::Arc;
 
 use gw_apps::WordCount;
-use gw_bench::{bench_cfg, corpus_cluster_paced, rule, secs, sim_secs};
-use gw_core::schedule::{pipeline_makespan, ChunkTimes};
+use gw_bench::{bench_cfg, corpus_cluster_paced, replay_makespan, rule, secs, sim_secs};
 use gw_core::{Buffering, CollectorKind};
 use gw_sim::sweep::{simulate, FrameworkKind};
 use gw_sim::{AppParams, ClusterParams};
@@ -30,11 +29,7 @@ fn main() {
     let report = cluster
         .run(Arc::new(WordCount::new()), &cfg)
         .expect("job failed");
-    let chunks: Vec<ChunkTimes> = report.nodes[0]
-        .map_samples
-        .iter()
-        .map(|s| [s[0].wall, s[1].wall, s[2].wall, s[3].wall, s[4].wall])
-        .collect();
+    let samples = &report.nodes[0].map_samples;
     println!("WC measured per-chunk times replayed through the schedule model:");
     rule(44);
     println!("{:<10} | {:>16}", "buffering", "map makespan (s)");
@@ -45,7 +40,7 @@ fn main() {
         ("double", Buffering::Double),
         ("triple", Buffering::Triple),
     ] {
-        let m = pipeline_makespan(&chunks, b);
+        let m = replay_makespan(samples, |s| s.wall, b);
         println!("{label:<10} | {:>16}", secs(m));
         makespans.push(m);
     }

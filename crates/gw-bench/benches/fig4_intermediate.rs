@@ -15,8 +15,7 @@
 use std::sync::Arc;
 
 use gw_apps::WordCount;
-use gw_bench::{bench_cfg, corpus_cluster_paced, rule, secs};
-use gw_core::schedule::{pipeline_makespan, ChunkTimes};
+use gw_bench::{bench_cfg, corpus_cluster_paced, replay_makespan, rule, secs};
 use gw_core::{Buffering, CollectorKind, StageId};
 
 fn main() {
@@ -34,11 +33,6 @@ fn main() {
         .run(Arc::new(WordCount::without_combiner()), &cfg)
         .expect("job failed");
     let node = &report.nodes[0];
-    let base_chunks: Vec<ChunkTimes> = node
-        .map_samples
-        .iter()
-        .map(|s| [s[0].wall, s[1].wall, s[2].wall, s[3].wall, s[4].wall])
-        .collect();
     let kernel_total = node.map_timers.wall(StageId::Kernel);
     let partition_work = node.map_timers.wall(StageId::Partition);
 
@@ -50,11 +44,16 @@ fn main() {
     let mut partition_times = Vec::new();
     let mut kernel_times = Vec::new();
     for n_threads in [1u32, 2, 4, 8] {
-        let scaled: Vec<ChunkTimes> = base_chunks
+        let scaled: Vec<_> = node
+            .map_samples
             .iter()
-            .map(|c| [c[0], c[1], c[2], c[3], c[4] / n_threads])
+            .map(|row| {
+                let mut row = *row;
+                row[StageId::Partition.index()].wall /= n_threads;
+                row
+            })
             .collect();
-        let elapsed = pipeline_makespan(&scaled, Buffering::Double);
+        let elapsed = replay_makespan(&scaled, |s| s.wall, Buffering::Double);
         let partition = partition_work / n_threads;
         println!(
             "{n_threads:>3} | {:>12} | {:>13} | {:>12}",

@@ -19,8 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gw_apps::KMeans;
-use gw_bench::{bench_cfg, kmeans_cluster, rule, secs};
-use gw_core::schedule::{pipeline_makespan, ChunkTimes};
+use gw_bench::{bench_cfg, kmeans_cluster, replay_makespan, rule, secs};
 use gw_core::{CollectorKind, GwApp, StageId, TimingMode};
 use gw_device::DeviceProfile;
 
@@ -70,20 +69,7 @@ fn run_device(device: DeviceProfile, modeled: bool, configs: &[Config]) {
         // Elapsed: measured on CPU; schedule-replayed modeled chunks on
         // the simulated device.
         let elapsed = if modeled {
-            let chunks: Vec<ChunkTimes> = n
-                .map_samples
-                .iter()
-                .map(|s| {
-                    [
-                        s[0].modeled,
-                        s[1].modeled,
-                        s[2].modeled,
-                        s[3].modeled,
-                        s[4].modeled,
-                    ]
-                })
-                .collect();
-            pipeline_makespan(&chunks, cfg.buffering)
+            replay_makespan(&n.map_samples, |s| s.modeled, cfg.buffering)
         } else {
             n.map.elapsed
         };

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gw_apps::workloads::{self, CorpusSpec, KmeansSpec};
-use gw_core::{Cluster, JobConfig, NodeId};
+use gw_core::{simulate, Buffering, Cluster, JobConfig, NodeId, StageSample, MAP_TOKEN_GROUPS};
 use gw_net::NetProfile;
 use gw_storage::split::FileStoreExt;
 use gw_storage::{Dfs, DfsConfig};
@@ -27,6 +27,21 @@ pub fn sim_secs(s: f64) -> String {
     } else {
         format!("{s:.1}")
     }
+}
+
+/// Replay per-chunk map-stage samples through the §III-D schedule
+/// recurrence ([`gw_core::simulate`]) at buffering level `b`; `time`
+/// picks the wall or modeled side of each sample.
+pub fn replay_makespan(
+    samples: &[[StageSample; 5]],
+    time: impl Fn(&StageSample) -> Duration,
+    b: Buffering,
+) -> Duration {
+    let durs: Vec<[u64; 5]> = samples
+        .iter()
+        .map(|row| row.each_ref().map(|s| time(s).as_nanos() as u64))
+        .collect();
+    Duration::from_nanos(simulate(&durs, &MAP_TOKEN_GROUPS, b.depth(), [1; 5]).makespan())
 }
 
 /// Print a rule line.

@@ -40,14 +40,16 @@ use gw_intermediate::{IntermediateConfig, IntermediateStore, Run, TempDir};
 use gw_net::{Fabric, NetProfile, ShuffleMsg, ShuffleReceiver, ShuffleSummary};
 use gw_storage::split::{FileStore, FileStoreExt};
 use gw_storage::NodeId;
-use gw_trace::{CounterId, LaneId, MetricsSummary, PerfAnalysis, Realm, Trace, Tracer};
+use gw_trace::{
+    CounterId, LaneId, MetricsSummary, PerfAnalysis, PipelineKind, Realm, StageSample, TimerReport,
+    Trace, TraceFold, Tracer,
+};
 
 use crate::api::GwApp;
 use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, RecoveryState, RunKey, SpeculationReport};
 use crate::map_pipeline::{MapPhase, MapPhaseReport};
 use crate::reduce_pipeline::{ReducePhase, ReducePhaseReport};
-use crate::timers::{StageTimers, TimerReport};
 use crate::EngineError;
 
 /// Supervised receiver poll tick: how often it interleaves liveness scans
@@ -64,17 +66,18 @@ pub struct NodeReport {
     pub node: NodeId,
     /// Map-phase summary.
     pub map: MapPhaseReport,
-    /// Map pipeline stage timers.
+    /// Map pipeline stage timers (a view over the job's trace).
     pub map_timers: TimerReport,
-    /// Per-chunk map stage samples (for schedule replay).
-    pub map_samples: Vec<[crate::timers::StageSample; 5]>,
+    /// Per-chunk map stage samples by chunk sequence number, for schedule
+    /// replay (a view over the job's trace).
+    pub map_samples: Vec<[StageSample; 5]>,
     /// Merge delay: time after map completion until mergers finished.
     pub merge_delay: Duration,
     /// Runs received from peers during the shuffle.
     pub shuffle_runs_received: usize,
     /// Reduce-phase summary.
     pub reduce: ReducePhaseReport,
-    /// Reduce pipeline stage timers.
+    /// Reduce pipeline stage timers (a view over the job's trace).
     pub reduce_timers: TimerReport,
     /// Intermediate-store metrics.
     pub intermediate: gw_intermediate::StoreMetrics,
@@ -180,8 +183,11 @@ pub struct Cluster {
 
 impl Cluster {
     /// Create a cluster over `store` (its `cluster_size` defines the node
-    /// count) with network profile `net`.
+    /// count) with network profile `net`. Pins the process's malloc mmap
+    /// threshold ([`crate::heap`]), so the footprint of jobs run one
+    /// after another does not drift with thread timing.
     pub fn new(store: Arc<dyn FileStore>, net: NetProfile) -> Self {
+        crate::heap::pin_mmap_threshold();
         Cluster {
             store,
             net,
@@ -460,6 +466,14 @@ impl Cluster {
         }
         reports.sort_by_key(|r| r.node.0);
         let trace = tracer.finish_job(scope.job);
+        // The one pass over the job's events; every per-stage number in
+        // the report is a view over it.
+        let fold = TraceFold::new(&trace);
+        for r in &mut reports {
+            r.map_timers = fold.timers(r.node.0, PipelineKind::Map);
+            r.map_samples = fold.samples(r.node.0, PipelineKind::Map);
+            r.reduce_timers = fold.timers(r.node.0, PipelineKind::Reduce);
+        }
         Ok(JobReport {
             served_from_cache: false,
             elapsed,
@@ -470,8 +484,8 @@ impl Cluster {
                 .fault_failovers()
                 .saturating_sub(failovers_before),
             speculation: coordinator.speculation_report(),
-            metrics: trace.metrics(),
-            analysis: PerfAnalysis::from_trace(&trace),
+            metrics: fold.metrics(),
+            analysis: fold.analysis(),
             trace,
         })
     }
@@ -656,7 +670,9 @@ impl Heartbeat {
             .spawn(move || {
                 while !stop_flag.load(Ordering::Relaxed) {
                     coordinator.heartbeat(node);
-                    std::thread::sleep(interval);
+                    // Parked, not slept: dropping the guard unparks the
+                    // thread, so a job never waits out a beat to end.
+                    std::thread::park_timeout(interval);
                 }
             })
             .expect("spawn heartbeat");
@@ -671,6 +687,7 @@ impl Drop for Heartbeat {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -954,7 +971,6 @@ fn run_node(
     };
 
     // Map phase.
-    let map_timers = Arc::new(StageTimers::new());
     let map_report = MapPhase {
         cfg,
         node,
@@ -965,7 +981,6 @@ fn run_node(
         coordinator: Arc::clone(&coordinator),
         intermediate: Arc::clone(&intermediate),
         endpoint: Arc::clone(&endpoint),
-        timers: Arc::clone(&map_timers),
         tracer: Arc::clone(&tracer),
         durability_dir: durability.as_ref().map(|d| d.path().to_path_buf()),
         chaos: chaos.clone(),
@@ -995,7 +1010,6 @@ fn run_node(
     }
 
     // Reduce phase.
-    let reduce_timers = Arc::new(StageTimers::new());
     let reduce_report = ReducePhase {
         cfg,
         node,
@@ -1005,21 +1019,22 @@ fn run_node(
         store,
         coordinator: Arc::clone(&coordinator),
         intermediate: Arc::clone(&intermediate),
-        timers: Arc::clone(&reduce_timers),
         tracer,
         chaos,
     }
     .run()?;
 
+    // The stage timers and samples are filled in by the master from the
+    // job's trace.
     Ok(NodeReport {
         node,
         map: map_report,
-        map_timers: map_timers.report(),
-        map_samples: map_timers.chunk_samples(),
+        map_timers: TimerReport::default(),
+        map_samples: Vec::new(),
         merge_delay,
         shuffle_runs_received: shuffle_summary.runs,
         reduce: reduce_report,
-        reduce_timers: reduce_timers.report(),
+        reduce_timers: TimerReport::default(),
         intermediate: intermediate.metrics(),
     })
 }
@@ -1327,5 +1342,20 @@ mod tests {
         assert_eq!(report.nodes_lost, 0);
         assert_eq!(report.splits_rescheduled, 0);
         check_output(&cluster, &report);
+    }
+
+    #[test]
+    fn supervised_jobs_do_not_wait_out_a_heartbeat_to_end() {
+        // A node's heartbeat guard is dropped when the node finishes; the
+        // drop must wake the beating thread, not wait out its interval.
+        let cluster = make_cluster(2).with_fault_plan(FaultPlan::empty());
+        let mut cfg = base_cfg();
+        cfg.heartbeat_interval = Duration::from_secs(2);
+        cfg.node_timeout = Duration::from_secs(10);
+        let t0 = Instant::now();
+        let report = cluster.run(Arc::new(WordCount), &cfg).unwrap();
+        let took = t0.elapsed();
+        check_output(&cluster, &report);
+        assert!(took < Duration::from_secs(1), "job took {took:?}");
     }
 }

@@ -32,10 +32,13 @@
 //! with optional in-kernel combiner ([`collect`]).
 //!
 //! The [`cluster::Cluster`] runtime executes a job over `n` in-process
-//! nodes, with a locality-aware split [`coordinator`], per-node
-//! [`timers::StageTimers`], and a [`schedule`] model that converts per-chunk
-//! stage durations into pipeline makespans (used to validate the pipeline
-//! and to model accelerator timing).
+//! nodes with a locality-aware split [`coordinator`]. Every per-stage
+//! number in a [`JobReport`] — the per-node stage timers and samples,
+//! the [`MetricsSummary`] rollup and the [`PerfAnalysis`] — is a view
+//! over one [`TraceFold`] of the job's trace, taken once per finished
+//! job; [`simulate`] replays per-chunk stage samples through the §III-D
+//! schedule recurrence (to validate the pipeline and to model
+//! accelerator timing).
 
 pub mod api;
 pub mod cluster;
@@ -43,26 +46,24 @@ pub mod collect;
 pub mod config;
 pub mod coordinator;
 pub mod hash;
+pub mod heap;
 pub mod map_pipeline;
 pub mod reduce_pipeline;
-pub mod schedule;
-pub mod timers;
 
 pub use api::{Combiner, Emit, GwApp};
 pub use cluster::{read_job_output, Cluster, JobReport, NodeReport, RunScope};
 pub use collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
 pub use config::{Buffering, JobConfig, LanePlan, SpeculationConfig, TimingMode};
 pub use coordinator::{Coordinator, SpeculationReport};
-pub use schedule::{pipeline_makespan, ChunkTimes};
-pub use timers::{PipelineKind, StageId, StageTimers, TimerReport};
 
 pub use gw_chaos::{CrashSite, FaultPlan};
 pub use gw_storage::NodeId;
 pub use gw_trace::{
-    validate_json, Advice, Anomalies, CounterId, CriticalPath, Event, EventKind, Interference,
-    JobActivity, JobOverlap, LaneId, LogicalKind, MarkId, MetricsSummary, NodePerf, OverlapMatrix,
-    PerfAnalysis, PipelinePerf, ReadClass, Realm, ServiceStats, SpanId, StagePerf, Straggler,
-    Trace, Tracer,
+    simulate, validate_json, Advice, Anomalies, CounterId, CriticalPath, Event, EventKind,
+    Interference, JobActivity, JobOverlap, LaneId, LogicalKind, MarkId, MetricsSummary, NodePerf,
+    OverlapMatrix, PerfAnalysis, PipelineKind, PipelinePerf, ReadClass, Realm, Schedule,
+    ServiceStats, SpanId, StageId, StagePerf, StageSample, Straggler, TimerReport, Trace,
+    TraceFold, Tracer, MAP_TOKEN_GROUPS,
 };
 
 /// Errors surfaced by the engine.

@@ -9,7 +9,7 @@
 //! split, stage it, launch the map kernel, charge the retrieval, and
 //! partition the output. Channel wiring, the §III-D buffer-token
 //! interlock (input group Input→Kernel, output group Kernel→Partition),
-//! crash-site probing, dead/abort checking, timers and error unwinding
+//! crash-site probing, dead/abort checking, stage timing and error unwinding
 //! all live in [`gw_pipeline`]; the fault plane reaches the executor
 //! through [`MapPipelineProbe`]. On unified-memory devices the Stage and
 //! Retrieve stages report [`gw_pipeline::Stage::passthrough`] and are
@@ -52,7 +52,7 @@ use gw_intermediate::{merge_runs, IntermediateStore, Run, RunPool};
 use gw_net::{Endpoint, ShuffleMsg};
 use gw_pipeline::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineKind, PoolGet, PoolPut,
-    Stage, StageCtx,
+    Stage, StageCtx, StageId,
 };
 use gw_storage::split::FileStore;
 use gw_storage::{seqfile::SeqReader, InputSplit, NodeId};
@@ -63,7 +63,6 @@ use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCol
 use crate::config::{JobConfig, TimingMode};
 use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RunKey};
 use crate::hash::partition_owner;
-use crate::timers::{StageId, StageTimers};
 use crate::EngineError;
 
 /// Byte offsets of one record inside its block.
@@ -679,8 +678,6 @@ pub struct MapPhase<'a> {
     pub intermediate: Arc<IntermediateStore>,
     /// The node's network endpoint (shared with its shuffle receiver).
     pub endpoint: Arc<Endpoint<ShuffleMsg>>,
-    /// Stage timers to fill.
-    pub timers: Arc<StageTimers>,
     /// Job-wide event tracer; the executor emits chunk spans and
     /// token-wait regions onto this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
@@ -836,7 +833,6 @@ impl MapPhase<'_> {
             .stage_lanes(StageId::Partition, partition_lanes)
             .interlock(StageId::Input, StageId::Kernel)
             .interlock(StageId::Kernel, StageId::Partition)
-            .timers(Arc::clone(&self.timers), 0)
             .tracer(Arc::clone(&self.tracer), self.node.0);
         if let Some(chaos) = self.chaos.clone() {
             pipeline = pipeline.probe(MapPipelineProbe::new(

@@ -14,8 +14,8 @@
 //! one in-flight chunk arena, never the partition size (paper §III-B's
 //! larger-than-memory intermediate data; DESIGN.md §3.10). As in the map
 //! pipeline, all channel wiring, the §III-D token interlock, fault
-//! probing, timers and unwinding live in [`gw_pipeline`]; the Stage and
-//! Retrieve stages fuse out of the graph on unified-memory devices.
+//! probing, stage timing and unwinding live in [`gw_pipeline`]; the Stage
+//! and Retrieve stages fuse out of the graph on unified-memory devices.
 //!
 //! Reduce-side fine-grained parallelism, exactly as the paper describes:
 //!
@@ -53,7 +53,7 @@ use gw_device::{Device, KernelFn, NdRange, WorkItemCtx};
 use gw_intermediate::{CursorMerge, GroupedCursorMerge, IntermediateStore, RunCursor};
 use gw_pipeline::{
     run_task_with_retries, token_pool, PipelineBuilder, PipelineKind, PoolGet, PoolPut, Source,
-    Stage, StageCtx,
+    Stage, StageCtx, StageId,
 };
 use gw_storage::split::{FileStore, RecordBlockBuilder};
 use gw_storage::NodeId;
@@ -63,7 +63,6 @@ use crate::api::{Emit, GwApp};
 use crate::collect::{for_each_record, BufferPoolCollector, Collector};
 use crate::config::{JobConfig, TimingMode};
 use crate::coordinator::{Coordinator, NodeChaos, ReduceTaskProbe};
-use crate::timers::{StageId, StageTimers};
 use crate::EngineError;
 
 /// Saved scratch entries for one chunk's keys (`None` = key had no
@@ -618,8 +617,6 @@ pub struct ReducePhase<'a> {
     /// Split/partition coordinator: the reduce phase asks it which global
     /// partitions this node owns (adopted partitions included).
     pub coordinator: Arc<Coordinator>,
-    /// Stage timers to fill.
-    pub timers: Arc<StageTimers>,
     /// Job-wide event tracer; the executor emits chunk spans and
     /// token-wait regions onto this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
@@ -686,7 +683,7 @@ impl ReducePhase<'_> {
                     records: &records,
                 },
             )
-            .timers(Arc::clone(&self.timers), *chunk_seq)
+            .first_seq(*chunk_seq)
             .tracer(Arc::clone(&self.tracer), self.node.0)
             .run()?;
         *chunk_seq += 1;
@@ -788,7 +785,7 @@ impl ReducePhase<'_> {
             )
             .interlock(StageId::Input, StageId::Kernel)
             .interlock(StageId::Kernel, StageId::Partition)
-            .timers(Arc::clone(&self.timers), base_seq)
+            .first_seq(base_seq)
             .tracer(Arc::clone(&self.tracer), self.node.0);
         if let Some(chaos) = self.chaos.clone() {
             pipeline = pipeline.probe(ReduceTaskProbe::new(chaos, self.node));

@@ -2,7 +2,7 @@
 //!
 //! The paper's cluster is connected by Gigabit Ethernet and QDR InfiniBand
 //! (used as IP-over-InfiniBand). This crate replaces the physical network
-//! with an in-process fabric whose links are bounded channels wrapped in a
+//! with an in-process fabric whose links are unbounded channels wrapped in a
 //! token-bucket [`throttle::Throttle`], so the *protocol* (Glasswing's
 //! push-based shuffle vs. Hadoop's pull) executes for real while bandwidth
 //! and latency follow a configurable [`profile::NetProfile`].

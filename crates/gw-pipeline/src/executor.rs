@@ -36,10 +36,12 @@
 //!   death at this stage's crash site (addressable per lane). The source
 //!   is probed *after* it produces a chunk, so an injected Read crash
 //!   dies holding the fresh claim.
-//! * **Timing** — every chunk's pass through a stage is recorded into
-//!   [`StageTimers`]; the default window is the whole `run_chunk` call,
-//!   and a stage needing a narrower one calls [`StageCtx::add_time`].
-//!   Lanes of one slot fold into the same per-stage aggregate.
+//! * **Timing** — every chunk's pass through a stage closes a trace span
+//!   carrying its (wall, modeled) pair; the default window is the whole
+//!   `run_chunk` call, and a stage needing a narrower one calls
+//!   [`StageCtx::add_time`]. Stage timers are a view over the finished
+//!   trace (`gw_trace::TraceFold`), where lanes of one slot fold into the
+//!   same per-stage aggregate.
 //! * **Unwinding** — a stage error kills the probe, drops the stage's
 //!   channel endpoints and lets the graph drain deterministically:
 //!   upstream sends fail, downstream receives drain, queued chunks drop
@@ -55,10 +57,9 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use gw_trace::{Event, EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
+use gw_trace::{EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
 
-use crate::timers::{StageId, StageTimers};
-use crate::{Buffering, PipelineKind};
+use crate::{Buffering, PipelineKind, StageId};
 
 /// A stage's view of the executor while it handles one chunk.
 pub struct StageCtx<'p> {
@@ -570,29 +571,19 @@ impl Drop for TurnFinishGuard {
     }
 }
 
-/// Per-stage event emitter: the executor constructs each event **once**
-/// and feeds the same value to both consumers — the tracer lane (when
-/// tracing is armed) and the [`StageTimers`] derived view. Neither
-/// consumer keeps bookkeeping of its own inside pipeline code; wall and
-/// modeled time flow from this one emission point. Each lane of a
-/// widened slot gets its own emitter on its own trace sub-lane, keeping
-/// the tracer's single-writer invariant.
-struct StageEvents<'t> {
-    stage: StageId,
+/// Per-stage event emitter onto the tracer lane (when tracing is armed).
+/// This is the one place wall and modeled time leave pipeline code: the
+/// stage timers, metrics and analysis are all views over the finished
+/// trace. Each lane of a widened slot gets its own emitter on its own
+/// trace sub-lane, keeping the tracer's single-writer invariant.
+struct StageEvents {
     lane: Option<Lane>,
-    timers: Option<&'t StageTimers>,
 }
 
-impl StageEvents<'_> {
+impl StageEvents {
     fn emit(&self, kind: EventKind) {
-        let ev = match &self.lane {
-            Some(lane) => lane.record(kind),
-            // Untraced runs still drive the timers view; the timestamp is
-            // never read by it.
-            None => Event { at_ns: 0, kind },
-        };
-        if let Some(t) = self.timers {
-            t.on_event(self.stage, &ev);
+        if let Some(lane) = &self.lane {
+            lane.record(kind);
         }
     }
 
@@ -724,7 +715,6 @@ pub struct PipelineBuilder<'a, T, E> {
     stages: Vec<(StageId, StageLaneVec<'a, T, E>)>,
     fused: Vec<StageId>,
     interlocks: Vec<(StageId, StageId)>,
-    timers: Option<Arc<StageTimers>>,
     first_seq: usize,
     probe: Option<Box<dyn PipelineProbe + 'a>>,
     tracer: Option<(Arc<Tracer>, u32)>,
@@ -740,7 +730,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             stages: Vec::new(),
             fused: Vec::new(),
             interlocks: Vec::new(),
-            timers: None,
             first_seq: 0,
             probe: None,
             tracer: None,
@@ -803,11 +792,10 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         self
     }
 
-    /// Record per-chunk stage timings, numbering chunks from `first_seq`
-    /// (the reduce pipeline threads one sample table through several
-    /// per-partition pipelines).
-    pub fn timers(mut self, timers: Arc<StageTimers>, first_seq: usize) -> Self {
-        self.timers = Some(timers);
+    /// Number chunks from `first_seq` (default 0): the reduce pipeline
+    /// runs one pipeline per partition and keeps sequence numbers unique
+    /// across them on the node's trace lanes.
+    pub fn first_seq(mut self, first_seq: usize) -> Self {
         self.first_seq = first_seq;
         self
     }
@@ -898,14 +886,11 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
 
         let probe_box = self.probe.take();
         let probe: Option<&dyn PipelineProbe> = probe_box.as_deref();
-        let timers_arc = self.timers.take();
-        let timers: Option<&StageTimers> = timers_arc.as_deref();
         let chunks_emitted = AtomicUsize::new(0);
 
         let kind = self.kind;
         let tracer = self.tracer.take();
         let events_for = |id: StageId, lane_idx: u32| StageEvents {
-            stage: id,
             lane: tracer.as_ref().map(|(t, node)| {
                 t.lane(LaneId {
                     job: 0,
@@ -917,7 +902,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     },
                 })
             }),
-            timers,
         };
 
         // §III-D topology marks: one per token group, on the acquiring
@@ -1557,7 +1541,7 @@ mod tests {
             }
         }
         let sum = AtomicUsize::new(0);
-        let timers = Arc::new(StageTimers::new());
+        let tracer = Arc::new(Tracer::new());
         PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
             .source(
                 StageId::Input,
@@ -1569,15 +1553,28 @@ mod tests {
             )
             .stage(StageId::Kernel, Timed)
             .stage(StageId::Partition, SinkSum(&sum))
-            .timers(Arc::clone(&timers), 0)
+            .first_seq(3)
+            .tracer(Arc::clone(&tracer), 0)
             .run()
             .expect("pipeline run");
-        assert_eq!(timers.chunks(StageId::Input), 4);
-        assert_eq!(timers.chunks(StageId::Kernel), 4);
+        let fold = gw_trace::TraceFold::new(&tracer.finish());
+        let metrics = fold.metrics();
+        for stage in [StageId::Input, StageId::Kernel, StageId::Partition] {
+            assert_eq!(metrics.chunks(0, PipelineKind::Map, stage), 4, "{stage:?}");
+        }
+        let timers = fold.timers(0, PipelineKind::Map);
         assert_eq!(timers.wall(StageId::Kernel), Duration::from_millis(20));
         assert_eq!(timers.modeled(StageId::Kernel), Duration::from_millis(36));
-        // Default timing recorded something for the untimed stages.
-        assert_eq!(timers.chunks(StageId::Partition), 4);
+        // Default timing: the untimed stages' modeled time is their wall
+        // time. Samples are indexed by sequence number, from `first_seq`.
+        assert_eq!(timers.modeled(StageId::Input), timers.wall(StageId::Input));
+        let samples = fold.samples(0, PipelineKind::Map);
+        assert_eq!(samples.len(), 3 + 4);
+        let kernel = StageId::Kernel.index();
+        assert_eq!(samples[2][kernel].wall, Duration::ZERO);
+        assert!(samples[3..]
+            .iter()
+            .all(|row| row[kernel].modeled == Duration::from_millis(9)));
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! about *where time goes*: stage overlap, PCIe staging cost, shuffle
 //! occupancy. Aggregate timers can prove totals but not shapes; this
 //! crate records the shapes as a typed event stream and derives both the
-//! totals ([`MetricsSummary`], and `StageTimers` over in `gw-pipeline`)
-//! and a visual timeline ([`Trace::chrome_json`]) from that one stream.
+//! totals and a visual timeline ([`Trace::chrome_json`]) from that one
+//! stream. The totals come from one pass: [`TraceFold`] folds a finished
+//! trace once, and the stage timers ([`TimerReport`], [`StageSample`]),
+//! the [`MetricsSummary`] rollup and the [`PerfAnalysis`] are views over
+//! that fold. [`simulate`] is the one §III-D schedule recurrence, used by
+//! the analysis and by every schedule what-if.
 //!
 //! Three design rules, all load-bearing for the tests that pin this
 //! plane:
@@ -22,13 +26,15 @@
 //!    wall/modeled timing. [`Trace::logical_events`] strips the timing;
 //!    for a fixed `(seed, JobConfig)` the logical stream is
 //!    byte-reproducible across runs and across buffering levels.
-//! 3. **Views, not bookkeeping.** Consumers (`StageTimers`, the metrics
-//!    registry, the Chrome exporter) fold over emitted events; none of
-//!    them keeps its own instrumentation state inside pipeline code.
+//! 3. **Views, not bookkeeping.** Consumers (the stage timers, the
+//!    metrics registry, the analysis, the Chrome exporter) read emitted
+//!    events; none of them keeps its own instrumentation state inside
+//!    pipeline code.
 
 mod analysis;
 mod chrome;
 mod event;
+mod fold;
 mod interference;
 mod jsonck;
 mod metrics;
@@ -37,12 +43,13 @@ mod stage;
 mod tracer;
 
 pub use analysis::{
-    Advice, Anomalies, CriticalPath, NodePerf, OverlapMatrix, PerfAnalysis, PipelinePerf,
-    ServiceStats, StagePerf, Straggler,
+    simulate, Advice, Anomalies, CriticalPath, NodePerf, OverlapMatrix, PerfAnalysis, PipelinePerf,
+    Schedule, ServiceStats, StagePerf, Straggler, MAP_TOKEN_GROUPS,
 };
 pub use event::{
     CounterId, Event, EventKind, LaneId, LogicalKind, MarkId, ReadClass, Realm, SpanId,
 };
+pub use fold::{StageSample, TimerReport, TraceFold};
 pub use interference::{Interference, JobActivity, JobOverlap};
 pub use jsonck::validate_json;
 pub use metrics::MetricsSummary;

@@ -1,14 +1,15 @@
 //! Metrics registry: the rollup view over a finished trace.
 //!
-//! Tables II/III-style aggregates derive from the same event stream the
-//! Chrome exporter renders: per-node counters, per-stage chunk counts
-//! (fused passages included, so fused and unfused graphs agree), and
-//! token-wait occupancy per stage.
+//! Tables II/III-style aggregates read the one [`TraceFold`] of the same
+//! event stream the Chrome exporter renders: per-node counters, per-stage
+//! chunk counts (fused passages included, so fused and unfused graphs
+//! agree), and token-wait occupancy per stage.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use crate::event::{CounterId, EventKind, MarkId, Realm, SpanId};
+use crate::event::CounterId;
+use crate::fold::TraceFold;
 use crate::stage::{PipelineKind, StageId};
 use crate::tracer::Trace;
 
@@ -28,48 +29,7 @@ pub struct MetricsSummary {
 impl MetricsSummary {
     /// Fold a finished trace into aggregates.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut m = MetricsSummary::default();
-        for (lane, events) in &trace.lanes {
-            let mut wait_begun: Vec<u64> = Vec::new();
-            for ev in events {
-                if let EventKind::Count { counter, delta } = ev.kind {
-                    *m.counters.entry((lane.node, counter)).or_default() += delta;
-                }
-                // Sub-lanes of a widened stage (`lane > 0`) fold into the
-                // same per-stage aggregate: metrics stay per-stage.
-                let Realm::Pipeline { kind, stage, .. } = lane.realm else {
-                    continue;
-                };
-                match ev.kind {
-                    EventKind::End {
-                        span: SpanId::Chunk { .. },
-                        accounted: true,
-                        ..
-                    } => {
-                        *m.stage_chunks.entry((lane.node, kind, stage)).or_default() += 1;
-                    }
-                    EventKind::Instant {
-                        mark: MarkId::FusedPassage { fused, .. },
-                    } => {
-                        *m.stage_chunks.entry((lane.node, kind, fused)).or_default() += 1;
-                    }
-                    EventKind::Begin {
-                        span: SpanId::TokenWait { .. },
-                    } => wait_begun.push(ev.at_ns),
-                    EventKind::End {
-                        span: SpanId::TokenWait { .. },
-                        ..
-                    } => {
-                        if let Some(t0) = wait_begun.pop() {
-                            *m.token_wait_ns.entry((lane.node, kind, stage)).or_default() +=
-                                ev.at_ns.saturating_sub(t0);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        m
+        TraceFold::new(trace).metrics()
     }
 
     /// One node's total for `counter`.
@@ -112,7 +72,7 @@ impl MetricsSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::LaneId;
+    use crate::event::{EventKind, LaneId, MarkId, Realm, SpanId};
     use crate::tracer::Tracer;
 
     fn pipe_lane(node: u32, stage: StageId) -> LaneId {

@@ -1,7 +1,7 @@
 //! Structural properties of the pipeline and its analytical model.
 //!
-//! The schedule model (`gw_core::schedule`) encodes the paper's §III-D
-//! interlock semantics; these tests check it against the *real* engine's
+//! The schedule model (`glasswing::trace::simulate`) encodes the paper's
+//! §III-D interlock semantics; these tests check it against the *real* engine's
 //! measured per-chunk samples, and check the engine-level behaviours the
 //! paper's instrumentation sections rely on.
 
@@ -10,9 +10,22 @@ use std::time::Duration;
 
 use glasswing::apps::workloads::{self, CorpusSpec};
 use glasswing::apps::WordCount;
-use glasswing::core::schedule::{pipeline_makespan, ChunkTimes};
-use glasswing::core::StageId;
+use glasswing::core::{StageId, StageSample};
 use glasswing::prelude::*;
+use glasswing::trace::{simulate, MAP_TOKEN_GROUPS};
+
+/// Per-chunk wall times of measured map-stage samples, in ns.
+fn wall_ns(samples: &[[StageSample; 5]]) -> Vec<[u64; 5]> {
+    samples
+        .iter()
+        .map(|row| row.map(|s| s.wall.as_nanos() as u64))
+        .collect()
+}
+
+/// The map pipeline's replayed makespan at buffering level `b`.
+fn makespan(chunks: &[[u64; 5]], b: Buffering) -> Duration {
+    Duration::from_nanos(simulate(chunks, &MAP_TOKEN_GROUPS, b.depth(), [1; 5]).makespan())
+}
 
 fn corpus_cluster(lines: usize, nodes: u32, block: usize) -> Cluster {
     let spec = CorpusSpec {
@@ -165,12 +178,8 @@ fn schedule_model_replays_measured_chunks() {
         "need several chunks, got {}",
         node.map_samples.len()
     );
-    let chunks: Vec<ChunkTimes> = node
-        .map_samples
-        .iter()
-        .map(|s| [s[0].wall, s[1].wall, s[2].wall, s[3].wall, s[4].wall])
-        .collect();
-    let modeled = pipeline_makespan(&chunks, Buffering::Double);
+    let chunks = wall_ns(&node.map_samples);
+    let modeled = makespan(&chunks, Buffering::Double);
     let measured = node.map.elapsed;
     assert!(
         measured >= modeled.mul_f64(0.8),
@@ -178,7 +187,7 @@ fn schedule_model_replays_measured_chunks() {
     );
     // The model must also not be trivially small: it accounts for the
     // dominant stage at least.
-    let kernel_total: Duration = chunks.iter().map(|c| c[2]).sum();
+    let kernel_total = Duration::from_nanos(chunks.iter().map(|c| c[2]).sum());
     assert!(modeled >= kernel_total);
 }
 
@@ -188,14 +197,10 @@ fn schedule_model_replays_measured_chunks() {
 fn buffering_ordering_holds_on_real_samples() {
     let cluster = corpus_cluster(600, 1, 2048);
     let report = cluster.run(Arc::new(WordCount::new()), &cfg()).unwrap();
-    let chunks: Vec<ChunkTimes> = report.nodes[0]
-        .map_samples
-        .iter()
-        .map(|s| [s[0].wall, s[1].wall, s[2].wall, s[3].wall, s[4].wall])
-        .collect();
-    let single = pipeline_makespan(&chunks, Buffering::Single);
-    let double = pipeline_makespan(&chunks, Buffering::Double);
-    let triple = pipeline_makespan(&chunks, Buffering::Triple);
+    let chunks = wall_ns(&report.nodes[0].map_samples);
+    let single = makespan(&chunks, Buffering::Single);
+    let double = makespan(&chunks, Buffering::Double);
+    let triple = makespan(&chunks, Buffering::Triple);
     assert!(single >= double);
     assert!(double >= triple);
 }

@@ -1,37 +1,29 @@
 //! Property-based tests of the analytical and simulation models.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 
-use glasswing::core::schedule::{pipeline_makespan, pipeline_schedule, ChunkTimes};
-use glasswing::core::Buffering;
 use glasswing::sim::engine::Sim;
 use glasswing::sim::sweep::{simulate, FrameworkKind};
 use glasswing::sim::{AppParams, ClusterParams};
+use glasswing::trace::MAP_TOKEN_GROUPS;
 
-fn chunk_strategy() -> impl Strategy<Value = Vec<ChunkTimes>> {
-    proptest::collection::vec(
-        proptest::array::uniform5(0u64..50).prop_map(|ms| {
-            [
-                Duration::from_millis(ms[0]),
-                Duration::from_millis(ms[1]),
-                Duration::from_millis(ms[2]),
-                Duration::from_millis(ms[3]),
-                Duration::from_millis(ms[4]),
-            ]
-        }),
-        0..40,
-    )
+/// Per-chunk map-stage durations in ms, chunk-major.
+fn chunk_strategy() -> impl Strategy<Value = Vec<[u64; 5]>> {
+    proptest::collection::vec(proptest::array::uniform5(0u64..50), 0..40)
+}
+
+/// The §III-D replay of the map pipeline at buffering level `b`.
+fn schedule(chunks: &[[u64; 5]], b: usize) -> glasswing::trace::Schedule {
+    glasswing::trace::simulate(chunks, &MAP_TOKEN_GROUPS, b, [1; 5])
 }
 
 proptest! {
     /// More buffering never increases the pipeline makespan.
     #[test]
     fn schedule_monotone_in_buffering(chunks in chunk_strategy()) {
-        let single = pipeline_makespan(&chunks, Buffering::Single);
-        let double = pipeline_makespan(&chunks, Buffering::Double);
-        let triple = pipeline_makespan(&chunks, Buffering::Triple);
+        let single = schedule(&chunks, 1).makespan();
+        let double = schedule(&chunks, 2).makespan();
+        let triple = schedule(&chunks, 3).makespan();
         prop_assert!(double <= single);
         prop_assert!(triple <= double);
     }
@@ -41,13 +33,13 @@ proptest! {
     /// execution.
     #[test]
     fn schedule_is_sandwiched(chunks in chunk_strategy()) {
-        for b in [Buffering::Single, Buffering::Double, Buffering::Triple] {
-            let makespan = pipeline_makespan(&chunks, b);
+        for b in 1..=3 {
+            let makespan = schedule(&chunks, b).makespan();
             for s in 0..5 {
-                let stage_total: Duration = chunks.iter().map(|c| c[s]).sum();
+                let stage_total: u64 = chunks.iter().map(|c| c[s]).sum();
                 prop_assert!(makespan >= stage_total);
             }
-            let serial: Duration = chunks.iter().flat_map(|c| c.iter()).sum();
+            let serial: u64 = chunks.iter().flat_map(|c| c.iter()).sum();
             prop_assert!(makespan <= serial);
         }
     }
@@ -56,7 +48,7 @@ proptest! {
     /// across chunks (the schedule is a valid partial order).
     #[test]
     fn schedule_respects_precedence(chunks in chunk_strategy()) {
-        let sched = pipeline_schedule(&chunks, Buffering::Double);
+        let sched = schedule(&chunks, 2);
         for (c, stages) in sched.end.iter().enumerate() {
             for s in 1..5 {
                 prop_assert!(stages[s] >= stages[s - 1], "chunk {c} stage order");
